@@ -376,14 +376,15 @@ int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
   // Settle anything that arrived while shutting down.
   discoveries += server.process(transport).size();
 
+  const auto inventory = server.inventory();
   out << "processed " << server.processed() << " reports from "
-      << server.ingest_stats().size() << " agents; " << discoveries
+      << inventory.size() << " agents; " << discoveries
       << " discoveries";
   if (server.duplicates() > 0)
     out << " (" << server.duplicates() << " duplicates skipped)";
   if (server.malformed() > 0) out << " (" << server.malformed() << " malformed)";
   out << "\n";
-  for (const auto& [agent_id, apps] : server.inventory()) {
+  for (const auto& [agent_id, apps] : inventory) {
     out << "  " << agent_id << ": " << join({apps.begin(), apps.end()}, " ")
         << "\n";
   }

@@ -1,7 +1,10 @@
 #include "service/server.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "common/serialize.hpp"
 #include "obs/scoped_timer.hpp"
@@ -19,8 +22,14 @@ std::string next_server_label() {
   return std::to_string(next.fetch_add(1));
 }
 
-constexpr const char* kReportsHelp =
-    "Agent reports ingested, by agent and outcome";
+constexpr const char* kReportsHelp = "Agent reports ingested, by outcome";
+
+/// Who a frame that failed to decode is charged to: the agent id peeked
+/// from its header, else DiscoveryServer::kUnattributedAgent.
+std::string wire_agent(std::string_view wire) {
+  std::string agent_id = ChangesetReport::peek_agent_id(wire);
+  return agent_id.empty() ? DiscoveryServer::kUnattributedAgent : agent_id;
+}
 
 }  // namespace
 
@@ -56,6 +65,16 @@ DiscoveryServer::DiscoveryServer(core::Praxi model, ServerConfig config)
       "Snapshot epoch the server most recently classified against",
       {{"server", server_label_}});
   model_epoch_gauge_->set(static_cast<double>(model_.epoch()));
+  auto reports = [&](const char* outcome) {
+    return &registry.counter(
+        "praxi_server_reports_total", kReportsHelp,
+        {{"server", server_label_}, {"outcome", outcome}});
+  };
+  reports_.processed = reports("processed");
+  reports_.malformed = reports("malformed");
+  reports_.version_mismatch = reports("version_mismatch");
+  reports_.duplicate = reports("duplicate");
+  reports_.overflow = reports("overflow");
 
   // Durable ingest (docs/DURABILITY.md): replay happens HERE, inside the
   // constructor, so by the time the host can open a transport listener the
@@ -74,31 +93,6 @@ DiscoveryServer::DiscoveryServer(core::Praxi model, ServerConfig config)
     }
   }
   update_state_gauges();
-}
-
-DiscoveryServer::AgentCounters& DiscoveryServer::counters_for(
-    const std::string& agent_id) {
-  auto it = agent_counters_.find(agent_id);
-  if (it != agent_counters_.end()) return it->second;
-
-  auto& registry = obs::MetricsRegistry::global();
-  auto labels = [&](const char* outcome) {
-    return obs::Labels{{"server", server_label_},
-                       {"agent", agent_id},
-                       {"outcome", outcome}};
-  };
-  AgentCounters counters;
-  counters.processed = &registry.counter("praxi_server_reports_total",
-                                         kReportsHelp, labels("processed"));
-  counters.malformed = &registry.counter("praxi_server_reports_total",
-                                         kReportsHelp, labels("malformed"));
-  counters.version_mismatch = &registry.counter(
-      "praxi_server_reports_total", kReportsHelp, labels("version_mismatch"));
-  counters.duplicate = &registry.counter("praxi_server_reports_total",
-                                         kReportsHelp, labels("duplicate"));
-  counters.overflow = &registry.counter("praxi_server_reports_total",
-                                        kReportsHelp, labels("overflow"));
-  return agent_counters_.emplace(agent_id, counters).first->second;
 }
 
 SequenceTracker& DiscoveryServer::tracker_for(const std::string& agent_id) {
@@ -153,69 +147,38 @@ void DiscoveryServer::update_state_gauges() {
   held_gauge_->set(static_cast<double>(held));
 }
 
-DiscoveryServer::AgentCounters& DiscoveryServer::counters_for_wire(
-    std::string_view wire) {
-  std::string agent_id = ChangesetReport::peek_agent_id(wire);
-  return counters_for(agent_id.empty() ? kUnattributedAgent
-                                       : std::move(agent_id));
+void DiscoveryServer::note_processed(const std::string& agent_id) {
+  const auto it = offenders_.find(agent_id);
+  if (it != offenders_.end()) ++it->second.stats.processed;
 }
 
-std::uint64_t DiscoveryServer::processed() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.processed->value();
+void DiscoveryServer::note_offender(const std::string& agent_id,
+                                    Outcome outcome) {
+  auto it = offenders_.find(agent_id);
+  if (it == offenders_.end()) {
+    if (offenders_.size() >= kMaxOffenders) {
+      // Evict the least offending row: fewest bad outcomes, then the one
+      // that misbehaved longest ago. O(kMaxOffenders), bad path only.
+      const auto victim = std::min_element(
+          offenders_.begin(), offenders_.end(),
+          [](const auto& a, const auto& b) {
+            return std::pair(a.second.bad, a.second.last_bad) <
+                   std::pair(b.second.bad, b.second.last_bad);
+          });
+      offenders_.erase(victim);
+    }
+    it = offenders_.emplace(agent_id, Offender{}).first;
   }
-  return total;
-}
-
-std::uint64_t DiscoveryServer::malformed() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.malformed->value();
-  }
-  return total;
-}
-
-std::uint64_t DiscoveryServer::version_mismatched() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.version_mismatch->value();
-  }
-  return total;
-}
-
-std::uint64_t DiscoveryServer::duplicates() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.duplicate->value();
-  }
-  return total;
-}
-
-std::uint64_t DiscoveryServer::overflows() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.overflow->value();
-  }
-  return total;
+  Offender& row = it->second;
+  ++(row.stats.*outcome);
+  ++row.bad;
+  row.last_bad = ++offender_clock_;
 }
 
 std::map<std::string, AgentIngestStats> DiscoveryServer::ingest_stats() const {
   common::LockGuard lock(state_mutex_);
   std::map<std::string, AgentIngestStats> stats;
-  for (const auto& [agent, counters] : agent_counters_) {
-    AgentIngestStats& s = stats[agent];
-    s.processed = counters.processed->value();
-    s.malformed = counters.malformed->value();
-    s.version_mismatch = counters.version_mismatch->value();
-    s.duplicate = counters.duplicate->value();
-    s.overflow = counters.overflow->value();
-  }
+  for (const auto& [agent, row] : offenders_) stats.emplace(agent, row.stats);
   return stats;
 }
 
@@ -268,11 +231,13 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       // Structurally sound frame from an agent speaking another format
       // version (fleet mid-upgrade) — distinct from corruption. Resending
       // identical bytes cannot help, so the frame still settles.
-      counters_for_wire(wire).version_mismatch->inc();
+      reports_.version_mismatch->inc();
+      note_offender(wire_agent(wire), &AgentIngestStats::version_mismatch);
       settled.push_back(&wire);
       continue;
     } catch (const SerializeError&) {
-      counters_for_wire(wire).malformed->inc();
+      reports_.malformed->inc();
+      note_offender(wire_agent(wire), &AgentIngestStats::malformed);
       continue;
     }
     active_agents.insert(report.agent_id);
@@ -283,7 +248,8 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       // processed (retry after a lost ack, a duplicating network, or an
       // agent restart replaying its journal). Exactly-once processing:
       // count it, settle it, skip it.
-      counters_for(report.agent_id).duplicate->inc();
+      reports_.duplicate->inc();
+      note_offender(report.agent_id, &AgentIngestStats::duplicate);
       settled.push_back(&wire);
       continue;
     }
@@ -291,7 +257,8 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       // The agent's held-set cap is full (badly reordering or adversarial
       // wire). The frame is NOT settled — no ack — so it is redelivered
       // once the out-of-order window drains.
-      counters_for(report.agent_id).overflow->inc();
+      reports_.overflow->inc();
+      note_offender(report.agent_id, &AgentIngestStats::overflow);
       continue;
     }
     staged.insert({report.agent_id, report.sequence});
@@ -355,14 +322,16 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       // Out-of-order admissions earlier in this batch filled the held-set
       // cap after this frame was screened; same policy as a phase-1
       // reject: no ack, the wire redelivers.
-      counters_for(agent_id).overflow->inc();
+      reports_.overflow->inc();
+      note_offender(agent_id, &AgentIngestStats::overflow);
       continue;
     }
     if (wal_) {
       wal_->append(agent_id, item.discovery.sequence,
                    SettleOutcome::kProcessed);
     }
-    counters_for(agent_id).processed->inc();
+    reports_.processed->inc();
+    note_processed(agent_id);
     settled.push_back(item.wire);
     if (!item.classify) continue;
     Discovery discovery = std::move(item.discovery);

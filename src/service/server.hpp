@@ -17,7 +17,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -52,7 +51,9 @@ struct ServerConfig {
   /// settled report is logged + fsynced before its frame is acknowledged.
   /// Empty (the default) keeps the dedup state in-memory only.
   std::string wal_dir;
-  /// WAL segment size that triggers snapshot+truncate compaction.
+  /// Snapshot+truncate compaction runs once the bytes appended since the
+  /// last snapshot reach max(wal_segment_bytes, snapshot size)
+  /// (docs/DURABILITY.md).
   std::size_t wal_segment_bytes = 4u << 20;
   /// Soft bound on resident per-agent SequenceTrackers (0 = unbounded).
   /// When exceeded after a process() call, trackers of agents that were
@@ -64,16 +65,17 @@ struct ServerConfig {
 };
 
 /// Per-agent ingest health: how many reports an agent delivered cleanly vs
-/// how many arrived malformed or version-skewed. An agent whose malformed
-/// count climbs is corrupting data in flight (or running a broken build) —
-/// exactly the graceful-degradation signal an operator needs, which a single
-/// global counter cannot attribute.
+/// how many arrived malformed, version-skewed, redelivered or over its
+/// held-set cap. An agent whose malformed count climbs is corrupting data in
+/// flight (or running a broken build) — exactly the graceful-degradation
+/// signal an operator needs, which a fleet-wide counter cannot attribute.
 ///
-/// Snapshot value read out of the metrics registry: the server's source of
-/// truth is the labeled counter family praxi_server_reports_total, and this
-/// struct is the thin per-agent view over it (docs/OBSERVABILITY.md). With
-/// metrics disabled via RuntimeConfig the counters — and therefore these
-/// stats — stop advancing.
+/// One row of the server's bounded offender table (ingest_stats()): an
+/// agent gets a row on its first bad outcome and from then on every outcome
+/// of it is counted, processed included. The fleet-wide totals live in the
+/// registry as praxi_server_reports_total{server, outcome}
+/// (docs/OBSERVABILITY.md); the table is plain server state, so it keeps
+/// counting when metrics are disabled via RuntimeConfig.
 struct AgentIngestStats {
   std::uint64_t processed = 0;         ///< reports parsed and classified
   std::uint64_t malformed = 0;         ///< corrupt frames (checksum, bounds…)
@@ -157,12 +159,16 @@ class DiscoveryServer {
   /// locked, so reading it concurrently is safe).
   const core::Praxi& model() const { return model_; }
   const core::TagsetStore& store() const { return store_; }
-  /// Fleet-wide totals, summed over the per-agent counters.
-  std::uint64_t processed() const PRAXI_EXCLUDES(state_mutex_);
-  std::uint64_t malformed() const PRAXI_EXCLUDES(state_mutex_);
-  std::uint64_t version_mismatched() const PRAXI_EXCLUDES(state_mutex_);
-  std::uint64_t duplicates() const PRAXI_EXCLUDES(state_mutex_);
-  std::uint64_t overflows() const PRAXI_EXCLUDES(state_mutex_);
+  /// Fleet-wide totals: one read of this server's
+  /// praxi_server_reports_total{outcome=…} counter each, whatever the fleet
+  /// size.
+  std::uint64_t processed() const { return reports_.processed->value(); }
+  std::uint64_t malformed() const { return reports_.malformed->value(); }
+  std::uint64_t version_mismatched() const {
+    return reports_.version_mismatch->value();
+  }
+  std::uint64_t duplicates() const { return reports_.duplicate->value(); }
+  std::uint64_t overflows() const { return reports_.overflow->value(); }
 
   /// The durable log, when ServerConfig::wal_dir is set (else nullptr).
   const WriteAheadLog* wal() const { return wal_.get(); }
@@ -172,31 +178,48 @@ class DiscoveryServer {
     return sequences_.size();
   }
 
-  /// Ingest health per agent, read out of the metrics registry (returns a
-  /// snapshot by value). Frames too corrupt to attribute are charged to
-  /// kUnattributedAgent.
+  /// The offender table (returns a snapshot by value): every agent that has
+  /// had a malformed, version_mismatch, duplicate or overflow outcome, with
+  /// all of its outcomes since it entered. Agents that only ever delivered
+  /// clean reports are absent. At most kMaxOffenders rows: when a new
+  /// offender arrives at a full table, the row with the fewest bad outcomes
+  /// is evicted (ties: the one whose last bad outcome is oldest). Frames too
+  /// corrupt to attribute are charged to kUnattributedAgent.
   std::map<std::string, AgentIngestStats> ingest_stats() const
       PRAXI_EXCLUDES(state_mutex_);
   static constexpr const char* kUnattributedAgent = "(unattributed)";
+  static constexpr std::size_t kMaxOffenders = 64;
 
   /// Label distinguishing this server's series in the process-global
   /// metrics registry (`server="<id>"`).
   const std::string& server_label() const { return server_label_; }
 
  private:
-  /// Cached handles into praxi_server_reports_total for one agent — the
-  /// registry owns the counters; these stay valid for the process lifetime.
-  struct AgentCounters {
+  /// This server's praxi_server_reports_total series, one per outcome —
+  /// the registry owns the counters; the handles are taken at construction
+  /// and stay valid for the process lifetime.
+  struct OutcomeCounters {
     obs::Counter* processed = nullptr;
     obs::Counter* malformed = nullptr;
     obs::Counter* version_mismatch = nullptr;
     obs::Counter* duplicate = nullptr;
     obs::Counter* overflow = nullptr;
   };
+  /// One offender-table row plus what eviction ranks it by.
+  struct Offender {
+    AgentIngestStats stats;
+    std::uint64_t bad = 0;       ///< every outcome but processed
+    std::uint64_t last_bad = 0;  ///< offender_clock_ at its latest bad one
+  };
+  using Outcome = std::uint64_t AgentIngestStats::*;
 
-  AgentCounters& counters_for(const std::string& agent_id)
+  /// Adds a processed report to the agent's row if it is an offender.
+  /// Never inserts a row.
+  void note_processed(const std::string& agent_id)
       PRAXI_REQUIRES(state_mutex_);
-  AgentCounters& counters_for_wire(std::string_view wire)
+  /// Adds a bad outcome to the agent's row, creating the row (evicting the
+  /// least offending one when the table is full) if absent.
+  void note_offender(const std::string& agent_id, Outcome outcome)
       PRAXI_REQUIRES(state_mutex_);
   /// The agent's tracker, creating it (restored from its evicted floor if
   /// one exists) on first use.
@@ -223,8 +246,11 @@ class DiscoveryServer {
   std::map<std::string, std::set<std::string>> inventory_
       PRAXI_GUARDED_BY(state_mutex_);
   std::string server_label_;
-  std::map<std::string, AgentCounters> agent_counters_
+  OutcomeCounters reports_;
+  /// Bounded offender table (ingest_stats()), at most kMaxOffenders rows.
+  std::map<std::string, Offender> offenders_
       PRAXI_GUARDED_BY(state_mutex_);
+  std::uint64_t offender_clock_ PRAXI_GUARDED_BY(state_mutex_) = 0;
   /// Exactly-once processing over an at-least-once wire: one tracker per
   /// agent, keyed by the report's own sequence field.
   std::map<std::string, SequenceTracker> sequences_

@@ -174,6 +174,10 @@ WalReplayResult replay_wal_segment(std::string_view bytes, bool last_segment,
       throw SerializeError(
           std::string("WAL record payload rejected: ") + e.what(), pos);
     }
+    if (pos == 0 && static_cast<std::uint8_t>(snapshot.payload.front()) ==
+                        kRecordSnapshot) {
+      result.leading_snapshot_bytes = record_len;
+    }
     pos += record_len;
     ++result.records;
   }
@@ -307,6 +311,7 @@ WriteAheadLog::WriteAheadLog(WalConfig config) : config_(std::move(config)) {
   } else {
     obs::ScopedTimer replay_timer(instruments_->replay_seconds);
     std::size_t last_valid_bytes = 0;
+    std::size_t last_snapshot_bytes = 0;
     for (std::size_t i = 0; i < indices.size(); ++i) {
       const std::string path = segment_path(indices[i]);
       const std::string bytes = read_file(path);
@@ -329,9 +334,15 @@ WriteAheadLog::WriteAheadLog(WalConfig config) : config_(std::move(config)) {
                                ": " + ec.message());
         }
       }
-      if (last) last_valid_bytes = replayed.valid_bytes;
+      if (last) {
+        last_valid_bytes = replayed.valid_bytes;
+        last_snapshot_bytes = replayed.leading_snapshot_bytes;
+      }
     }
     open_live(indices.back(), last_valid_bytes);
+    // Restore the compaction baseline too, so a restarted log with a large
+    // snapshot does not compact again on its first batch.
+    snapshot_bytes_ = last_snapshot_bytes;
   }
   instruments_->replayed.inc(replayed_records_);
   instruments_->segment_bytes.set(static_cast<double>(live_bytes_));
@@ -438,6 +449,7 @@ void WriteAheadLog::compact(const WalState& state) {
     // A surviving old segment is harmless (see above); ignore ec.
   }
   open_live(next_index, snapshot.size());
+  snapshot_bytes_ = snapshot.size();
   instruments_->compactions.inc();
   instruments_->segment_bytes.set(static_cast<double>(live_bytes_));
   instruments_->segments.set(static_cast<double>(segment_count()));

@@ -29,6 +29,7 @@
 // constructor, before the object is shared.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -68,6 +69,9 @@ struct WalReplayResult {
   std::size_t valid_bytes = 0;  ///< clean prefix length (== input size
                                 ///< unless a torn tail was detected)
   bool torn_tail = false;       ///< last record was cut short mid-write
+  /// Length of the buffer's first record when it is a snapshot (a segment
+  /// published by compaction), else 0.
+  std::size_t leading_snapshot_bytes = 0;
 };
 
 /// Replays one segment's bytes into `state`. Pure (no filesystem, no
@@ -93,7 +97,8 @@ std::string encode_wal_snapshot(const WalState& state);
 
 struct WalConfig {
   std::string dir;  ///< segment directory, created if absent
-  /// Rotate + compact once the live segment reaches this size.
+  /// Compaction threshold: compact once the bytes appended since the live
+  /// segment's snapshot reach max(segment_bytes, that snapshot's size).
   std::size_t segment_bytes = 4u << 20;
   /// Replay-time bound on one record's claimed payload length.
   std::size_t max_record_bytes = 64u << 20;
@@ -129,10 +134,16 @@ class WriteAheadLog {
   /// failure (the caller must not acknowledge the batch's frames).
   void commit() PRAXI_EXCLUDES(mutex_);
 
-  /// True once the live segment has reached config.segment_bytes.
+  /// True once the bytes appended since the live segment's leading snapshot
+  /// reach max(config.segment_bytes, snapshot size). A compaction rewrites
+  /// the snapshot, so paying for it only after at least as many appended
+  /// bytes keeps its amortized cost O(1) per record however large the state
+  /// grows, and bounds the live segment below 2 × max(segment_bytes,
+  /// snapshot) plus one batch.
   bool wants_compaction() const PRAXI_EXCLUDES(mutex_) {
     common::LockGuard lock(mutex_);
-    return live_bytes_ >= config_.segment_bytes;
+    return live_bytes_ - snapshot_bytes_ >=
+           std::max(config_.segment_bytes, snapshot_bytes_);
   }
 
   /// Publishes `state` as the single snapshot record of a fresh segment
@@ -175,6 +186,9 @@ class WriteAheadLog {
   std::uint64_t live_index_ PRAXI_GUARDED_BY(mutex_) = 1;
   std::string live_path_ PRAXI_GUARDED_BY(mutex_);
   std::size_t live_bytes_ PRAXI_GUARDED_BY(mutex_) = 0;
+  /// Size of the live segment's leading snapshot record (0 when it has
+  /// none): set by compact() and, after a restart, by replay.
+  std::size_t snapshot_bytes_ PRAXI_GUARDED_BY(mutex_) = 0;
   int fd_ PRAXI_GUARDED_BY(mutex_) = -1;
   /// Encoded records awaiting commit().
   std::string pending_ PRAXI_GUARDED_BY(mutex_);

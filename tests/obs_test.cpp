@@ -357,23 +357,79 @@ TEST_F(ObsIntegrationTest, ServerProcessAdvancesStageInstruments) {
             columbus_before);
   EXPECT_EQ(MetricsRegistry::global().counter_value(
                 "praxi_server_reports_total",
-                {{"server", server.server_label()},
-                 {"agent", "vm-obs"},
-                 {"outcome", "processed"}}),
+                {{"server", server.server_label()}, {"outcome", "processed"}}),
             3u);
-  EXPECT_EQ(
-      MetricsRegistry::global().counter_value(
-          "praxi_server_reports_total",
-          {{"server", server.server_label()},
-           {"agent", service::DiscoveryServer::kUnattributedAgent},
-           {"outcome", "malformed"}}),
-      1u);
-  // The thin view over the registry agrees with the raw counters.
+  EXPECT_EQ(MetricsRegistry::global().counter_value(
+                "praxi_server_reports_total",
+                {{"server", server.server_label()}, {"outcome", "malformed"}}),
+            1u);
+  // The fleet totals are reads of those same counters.
   EXPECT_EQ(server.processed(), 3u);
   EXPECT_EQ(server.malformed(), 1u);
+  // Only offenders get a row: the clean agent has none.
   const auto stats = server.ingest_stats();
-  ASSERT_EQ(stats.count("vm-obs"), 1u);
-  EXPECT_EQ(stats.at("vm-obs").processed, 3u);
+  EXPECT_EQ(stats.count("vm-obs"), 0u);
+  ASSERT_EQ(stats.count(service::DiscoveryServer::kUnattributedAgent), 1u);
+  EXPECT_EQ(stats.at(service::DiscoveryServer::kUnattributedAgent).malformed,
+            1u);
+}
+
+/// This server's exposition lines with their sample values cut off: what
+/// stays is every series name and label set, in render order.
+std::string server_series_shape(const std::string& server_label) {
+  const std::string exposition = render_prometheus(MetricsRegistry::global());
+  const std::string tag = "server=\"" + server_label + "\"";
+  std::string shape;
+  std::size_t pos = 0;
+  while (pos < exposition.size()) {
+    std::size_t end = exposition.find('\n', pos);
+    if (end == std::string::npos) end = exposition.size();
+    const std::string line = exposition.substr(pos, end - pos);
+    if (line.find(tag) != std::string::npos) {
+      shape += line.substr(0, line.rfind(' '));
+      shape += '\n';
+    }
+    pos = end + 1;
+  }
+  return shape;
+}
+
+TEST_F(ObsIntegrationTest, ReportSeriesDoNotGrowWithTheFleet) {
+  service::DiscoveryServer server(*model_);
+  service::MessageBus bus;
+  auto send_clean = [&](std::size_t first, std::size_t last) {
+    for (std::size_t agent = first; agent < last; ++agent) {
+      service::ChangesetReport report;
+      report.agent_id = "vm-fleet-" + std::to_string(agent);
+      report.sequence = 0;  // empty window: settled, never classified
+      bus.send(report.to_wire());
+    }
+    server.process(bus);
+  };
+
+  send_clean(0, 100);
+  const std::string shape_at_100 = server_series_shape(server.server_label());
+  for (std::size_t first = 100; first < 10000; first += 1000) {
+    send_clean(first, std::min<std::size_t>(first + 1000, 10000));
+  }
+  ASSERT_EQ(server.processed(), 10000u);
+
+  std::size_t report_series = 0;
+  for (const auto& family : MetricsRegistry::global().collect()) {
+    if (family.name != "praxi_server_reports_total") continue;
+    for (const auto& series : family.series) {
+      for (const auto& [key, value] : series.labels) {
+        if (key == "server" && value == server.server_label()) {
+          ++report_series;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(report_series, 5u);
+  // Same series, same label sets at 100 and at 10k agents: the exposition
+  // differs only in the sample values.
+  EXPECT_EQ(server_series_shape(server.server_label()), shape_at_100);
+  EXPECT_TRUE(server.ingest_stats().empty());
 }
 
 TEST_F(ObsIntegrationTest, SnapshotPublishResyncsOccupancyGauges) {

@@ -320,14 +320,81 @@ TEST_F(ServiceTest, IngestStatsAttributeCorruptionPerAgent) {
   EXPECT_EQ(server.version_mismatched(), 0u);
 
   const auto& stats = server.ingest_stats();
-  ASSERT_EQ(stats.count("vm-healthy"), 1u);
-  EXPECT_EQ(stats.at("vm-healthy").processed, 1u);
-  EXPECT_EQ(stats.at("vm-healthy").malformed, 0u);
+  // The offender table holds misbehaving agents only.
+  EXPECT_EQ(stats.count("vm-healthy"), 0u);
   ASSERT_EQ(stats.count("vm-flaky"), 1u);
   EXPECT_EQ(stats.at("vm-flaky").processed, 1u);
   EXPECT_EQ(stats.at("vm-flaky").malformed, 1u);
   ASSERT_EQ(stats.count(DiscoveryServer::kUnattributedAgent), 1u);
   EXPECT_EQ(stats.at(DiscoveryServer::kUnattributedAgent).malformed, 1u);
+}
+
+/// A frame from `agent_id` with one flipped payload byte: malformed, yet
+/// still attributable through peek_agent_id.
+std::string corrupt_frame(const std::string& agent_id, std::uint64_t seq) {
+  ChangesetReport report;
+  report.agent_id = agent_id;
+  report.sequence = seq;
+  report.changeset = sample_changeset("nginx");
+  std::string wire = report.to_wire();
+  wire.back() = static_cast<char>(wire.back() ^ 0x01);
+  return wire;
+}
+
+TEST_F(ServiceTest, OffenderTableStaysBoundedAndKeepsTheWorstOffender) {
+  MessageBus bus;
+  DiscoveryServer server(*model_, {});
+  // The worst offender misbehaves first, so it is also the oldest row.
+  for (std::uint64_t seq = 0; seq < 5; ++seq) {
+    bus.send(corrupt_frame("vm-worst", seq));
+  }
+  server.process(bus);
+
+  constexpr std::size_t kFlood = 10000;
+  for (std::size_t agent = 0; agent < kFlood; ++agent) {
+    bus.send(corrupt_frame("vm-once-" + std::to_string(agent), 0));
+    if (agent % 1000 == 999) server.process(bus);
+  }
+  ChangesetReport clean;
+  clean.agent_id = "vm-clean";
+  clean.sequence = 0;
+  clean.changeset = sample_changeset("nginx");
+  bus.send(clean.to_wire());
+  server.process(bus);
+
+  EXPECT_EQ(server.malformed(), kFlood + 5);
+  EXPECT_EQ(server.processed(), 1u);
+  const auto stats = server.ingest_stats();
+  EXPECT_EQ(stats.size(), DiscoveryServer::kMaxOffenders);
+  ASSERT_EQ(stats.count("vm-worst"), 1u);
+  EXPECT_EQ(stats.at("vm-worst").malformed, 5u);
+  EXPECT_EQ(stats.count("vm-clean"), 0u);
+  // One-off offenders rotate through the remaining rows, newest kept.
+  EXPECT_EQ(stats.count("vm-once-" + std::to_string(kFlood - 1)), 1u);
+  EXPECT_EQ(stats.count("vm-once-0"), 0u);
+}
+
+TEST_F(ServiceTest, OffenderRowCountsEveryOutcomeOnceEntered) {
+  MessageBus bus;
+  DiscoveryServer server(*model_, {});
+  ChangesetReport report;
+  report.agent_id = "vm-redeliver";
+  report.changeset = sample_changeset("nginx");
+  report.sequence = 0;
+  bus.send(report.to_wire());
+  server.process(bus);
+  EXPECT_TRUE(server.ingest_stats().empty());
+
+  bus.send(report.to_wire());  // redelivery: enters the table
+  report.sequence = 1;
+  bus.send(report.to_wire());  // clean, now counted in its row
+  server.process(bus);
+  const auto stats = server.ingest_stats();
+  ASSERT_EQ(stats.count("vm-redeliver"), 1u);
+  EXPECT_EQ(stats.at("vm-redeliver").duplicate, 1u);
+  EXPECT_EQ(stats.at("vm-redeliver").processed, 1u);
+  EXPECT_EQ(server.processed(), 2u);
+  EXPECT_EQ(server.duplicates(), 1u);
 }
 
 TEST_F(ServiceTest, VersionSkewCountedSeparatelyFromCorruption) {

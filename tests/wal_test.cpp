@@ -614,7 +614,7 @@ TEST_F(WalServerTest, CompactionKeepsDedupExactAcrossRestart) {
   TempWalDir dir("compaction");
   const auto reports = make_reports(2, 8);
   {
-    // A segment bound this small forces a compaction after every batch.
+    // A segment bound this small forces compactions within a few batches.
     auto server = make_server(dir.path, 64);
     MessageBus bus;
     for (const auto& r : reports) {
@@ -707,7 +707,7 @@ TEST_F(WalServerTest, EvictedFloorsAreIncludedInCompactionSnapshots) {
   {
     ServerConfig config = tiny_server_config();
     config.wal_dir = dir.path;
-    config.wal_segment_bytes = 64;  // compact after every batch
+    config.wal_segment_bytes = 64;  // compacts within the first batches
     config.max_resident_agents = 1;
     DiscoveryServer server(*model_, config);
     MessageBus bus;
@@ -737,6 +737,60 @@ TEST_F(WalServerTest, EvictedFloorsAreIncludedInCompactionSnapshots) {
   server.process(bus);
   EXPECT_EQ(server.processed(), 0u);
   EXPECT_EQ(server.duplicates(), 3u);
+}
+
+TEST_F(WalServerTest, CompactionCostAmortizesAgainstSnapshotSize) {
+  TempWalDir dir("amortized");
+  constexpr std::size_t kAgents = 2000;
+  constexpr std::size_t kSegmentBytes = 256;
+  auto report_for = [](std::size_t agent) {
+    ChangesetReport report;
+    report.agent_id = "vm-" + std::to_string(agent);
+    report.sequence = 0;
+    report.changeset = training_corpus()[agent % training_corpus().size()];
+    return report;
+  };
+  ServerConfig config = tiny_server_config();
+  config.wal_dir = dir.path;
+  config.wal_segment_bytes = kSegmentBytes;
+  config.max_resident_agents = 1;
+  {
+    DiscoveryServer server(*model_, config);
+    MessageBus bus;
+    std::size_t appended_bytes = 0;
+    for (std::size_t agent = 0; agent < kAgents; ++agent) {
+      const ChangesetReport report = report_for(agent);
+      appended_bytes += encode_wal_settle(report.agent_id, report.sequence,
+                                          SettleOutcome::kProcessed)
+                            .size();
+      bus.send(report.to_wire());
+      server.process(bus);
+    }
+    ASSERT_EQ(server.processed(), kAgents);
+    // The floors outgrow the segment bound after a few agents; from then
+    // on each compaction must be paid for by as many appended bytes as its
+    // snapshot holds, not happen on every batch.
+    const std::uint64_t compactions =
+        obs::MetricsRegistry::global().counter_value(
+            "praxi_wal_compactions_total",
+            {{"server", server.server_label()}});
+    EXPECT_GE(compactions, 1u);
+    EXPECT_LE(compactions, appended_bytes / kSegmentBytes + 1);
+  }
+  // The restarted log takes its compaction baseline from the snapshot it
+  // replayed: a batch that appends nothing must not compact again.
+  DiscoveryServer server(*model_, config);
+  MessageBus bus;
+  for (std::size_t agent = 0; agent < kAgents; ++agent) {
+    bus.send(report_for(agent).to_wire());
+  }
+  server.process(bus);
+  EXPECT_EQ(server.processed(), 0u);
+  EXPECT_EQ(server.duplicates(), kAgents);
+  EXPECT_EQ(obs::MetricsRegistry::global().counter_value(
+                "praxi_wal_compactions_total",
+                {{"server", server.server_label()}}),
+            0u);
 }
 
 }  // namespace

@@ -101,6 +101,17 @@ And the routing invariant from the sharded-cluster PR (docs/CLUSTER.md):
                    outside src/cluster/ (the ring's own implementation).
                    Escape hatch: `// praxi-lint: allow(ad-hoc-sharding: why)`.
 
+And the cardinality invariant from the constant-per-agent-cost PR
+(docs/OBSERVABILITY.md):
+
+  agent-label      No obs::MetricsRegistry instrument in src/ may carry an
+                   `{"agent", ...}` label: one series per agent grows the
+                   registry, the exposition and the process's memory with
+                   the fleet, and never shrinks. Per-agent attribution
+                   belongs in a bounded table (DiscoveryServer's offender
+                   table). Escape hatch:
+                   `// praxi-lint: allow(agent-label: why)`.
+
 Usage:
   praxi_lint.py [--root REPO_ROOT]   lint <root>/src, report, exit 1 on hits
   praxi_lint.py --self-test          seed one violation per rule into a temp
@@ -199,6 +210,12 @@ NAKED_MUTEX_RE = re.compile(
     r"\bstd::(?:recursive_|timed_|recursive_timed_|shared_)?mutex\b|"
     r"\bstd::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b|"
     r"\bstd::condition_variable(?:_any)?\b")
+
+# An `{"agent", <value>}` label pair (obs::Labels brace-init, or the
+# emplace_back form). The closing brace keeps plain string lists that merely
+# contain "agent" out.
+AGENT_LABEL_RE = re.compile(
+    r'(?:\{|emplace_back\s*\()\s*"agent"\s*,\s*[^,{}()]+[})]')
 
 
 class Violation:
@@ -341,6 +358,15 @@ def check_file(root: pathlib.Path, path: pathlib.Path) -> list[Violation]:
                 f'instrument "{name}" breaks the catalog scheme ({problem}; '
                 "see docs/OBSERVABILITY.md)"))
 
+    for match in AGENT_LABEL_RE.finditer(stripped_text):
+        line_no = stripped_text.count("\n", 0, match.start()) + 1
+        if not line_allows(lines, line_no - 1, "agent-label"):
+            found.append(Violation(
+                rel, line_no, "agent-label",
+                'per-agent metric label makes series count grow with the '
+                "fleet; keep agents in a bounded table (docs/OBSERVABILITY.md) "
+                "or annotate: praxi-lint: allow(agent-label)"))
+
     for match in CATCH_BLOCK_RE.finditer(stripped_text):
         line_no = stripped_text.count("\n", 0, match.start()) + 1
         if line_allows(lines, line_no - 1, "data-plane-catch"):
@@ -467,6 +493,16 @@ void forensics() {
   } catch (...) {  // praxi-lint: allow(data-plane-catch: best effort)
   }
 }
+void fleet_counter(const std::string& server, const std::string& agent) {
+  obs::MetricsRegistry::global().counter(
+      "praxi_selftest_reports_total", "fleet-level",
+      {{"server", server}, {"outcome", "processed"}});
+  // praxi-lint: allow(agent-label: bounded test fixture)
+  obs::Labels pinned{{"agent", agent}};
+  const char* words[] = {"agent", "hooks", "proxy"};
+  (void)pinned;
+  (void)words;
+}
 void wrapper_internals() {
   // praxi-lint: allow(naked-mutex: the wrapper itself)
   static std::mutex raw;
@@ -513,6 +549,12 @@ SELFTEST_VIOLATIONS = {
     "weight-table-mutation": (
         "void f(praxi::ml::detail::WeightTable& table) {\n"
         "  table.update(x, 0, 0.1f, 0.0f);\n"
+        "}\n"),
+    "agent-label": (
+        "void f(const std::string& id) {\n"
+        "  obs::MetricsRegistry::global().counter(\n"
+        '      "praxi_bad_reports_total", "one series per agent",\n'
+        '      {{"server", "0"}, {"agent", id}, {"outcome", "processed"}});\n'
         "}\n"),
     "ad-hoc-sharding": (
         "std::uint32_t owner(std::uint64_t hash, std::size_t num_shards) {\n"
